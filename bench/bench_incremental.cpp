@@ -1,11 +1,15 @@
 // Incremental-ingestion benchmark for the delta/tombstone/compaction
 // subsystem (DESIGN.md §16). For each corpus scale it builds one owning
-// finder, attaches an IndexWriter, and measures three things:
+// finder, attaches an IndexWriter, and measures four things:
 //
 //   ingestion — a deterministic stream of update batches (new docs,
 //               deletions, replacements) applied through
 //               `IndexWriter::Apply`, reported as docs/sec and
 //               batches/sec;
+//   read latency — every world query ranked with the ingested delta live
+//               and, over the same live documents, from the rebuilt
+//               (frozen) reference; passes alternate and each side keeps
+//               its fastest pass (same-process min-of-N);
 //   reads during compaction — reader threads rank continuously while the
 //               writer folds the delta with `Compact()`; only latencies
 //               observed inside the compaction window land in the
@@ -18,10 +22,14 @@
 //               Any divergence makes the binary exit non-zero, so the
 //               ctest smoke doubles as an end-to-end correctness gate.
 //
-// Timing numbers are reported but never gated — a tiny workload on a
-// shared CI core is too noisy to assert throughput. The measured rates
-// and latency percentiles land in BENCH_incremental.json (schema
-// crowdex-bench-incremental-v1, one entry per scale).
+// Two gates besides equivalence. Reads with a live delta must go through
+// the scoring kernels: each must bump `rank.delta.reads`, and together
+// they must bump `rank.kernel.runs` (a deterministic counter check, every
+// scale). At scale >= 0.1 the live-delta read may cost at most 2x the
+// frozen read (`kMaxDeltaOverFrozen`); the 0.02 smoke scale is too small
+// for a latency ratio to mean anything. Other timings are reported only.
+// Everything lands in BENCH_incremental.json (schema
+// crowdex-bench-incremental-v2, one entry per scale).
 //
 // Environment knobs: CROWDEX_BENCH_SCALE (single-scale mode; unset runs
 // the default 0.1/0.5/1.0 sweep), CROWDEX_INC_BATCHES (batches in the
@@ -34,20 +42,32 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <random>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cpu.h"
+#include "common/thread_pool.h"
 #include "core/analyzed_world.h"
 #include "core/expert_finder.h"
 #include "core/index_writer.h"
-#include "index/delta.h"
+#include "core/runtime_context.h"
+#include "index/kernels/kernels.h"
+#include "obs/metrics.h"
 #include "synth/world.h"
 
 namespace {
 
 using namespace crowdex;
+
+/// Min-of-N passes per side of the read-latency comparison.
+constexpr int kLatencyPasses = 7;
+/// Live-delta read latency may be at most this multiple of the frozen one
+/// (scale >= 0.1).
+constexpr double kMaxDeltaOverFrozen = 2.0;
+constexpr double kRatioGateMinScale = 0.1;
 
 int EnvInt(const char* name, int fallback) {
   const char* v = std::getenv(name);
@@ -164,6 +184,11 @@ struct ScaleResult {
   size_t docs_deleted = 0;
   double ingest_docs_per_sec = 0.0;
   double ingest_batches_per_sec = 0.0;
+  double read_delta_ms = 0.0;
+  double read_frozen_ms = 0.0;
+  uint64_t delta_reads = 0;
+  uint64_t delta_postings = 0;
+  uint64_t kernel_runs = 0;
   double compact_seconds = 0.0;
   size_t compactions = 0;
   size_t reads_during_compaction = 0;
@@ -177,8 +202,11 @@ bool RunScale(double scale, int num_batches, ScaleResult* out) {
   synth::SyntheticWorld world = synth::GenerateWorld(cfg);
   core::AnalyzedWorld analyzed = core::AnalyzeWorld(&world);
 
+  obs::MetricsRegistry metrics;
   core::ExpertFinder finder =
-      core::ExpertFinder::Create(&analyzed, core::ExpertFinderConfig{})
+      core::ExpertFinder::Create(&analyzed, core::ExpertFinderConfig{},
+                                 nullptr,
+                                 core::RuntimeContext{nullptr, &metrics})
           .value();
   Result<core::IndexWriter> writer_r = core::IndexWriter::Attach(&finder);
   if (!writer_r.ok()) {
@@ -234,7 +262,7 @@ bool RunScale(double scale, int num_batches, ScaleResult* out) {
     }
   }
 
-  // Equivalence gate #1: the live delta fan-in vs the rebuilt reference.
+  // Equivalence gate #1: the live delta vs the rebuilt reference.
   for (const auto& q : world.queries) {
     core::RankRequest req;
     req.text = q.text;
@@ -243,10 +271,72 @@ bool RunScale(double scale, int num_batches, ScaleResult* out) {
     if (!want.ok() || !got.ok() ||
         !SameRanking(want.value(), got.value())) {
       std::fprintf(stderr,
-                   "FAIL: delta fan-in diverged from rebuild at query %d\n",
+                   "FAIL: live-delta ranking diverged from rebuild at query "
+                   "%d\n",
                    q.id);
       return false;
     }
+  }
+
+  // Read latency, live delta vs frozen, over the same live documents: the
+  // incremental finder serves them through its delta, the reference from
+  // its compacted index. Alternating passes, fastest pass per side.
+  auto pass_ms = [&world](const core::ExpertFinder& f) {
+    const auto p0 = std::chrono::steady_clock::now();
+    for (const auto& q : world.queries) {
+      core::RankRequest req;
+      req.text = q.text;
+      if (!f.Rank(req).ok()) return -1.0;
+    }
+    return Seconds(p0) * 1e3 / static_cast<double>(world.queries.size());
+  };
+  obs::Counter* const delta_reads = metrics.counter("rank.delta.reads");
+  obs::Counter* const delta_postings = metrics.counter("rank.delta.postings");
+  obs::Counter* const kernel_runs = metrics.counter("rank.kernel.runs");
+  const uint64_t reads0 = delta_reads->Value();
+  const uint64_t postings0 = delta_postings->Value();
+  const uint64_t runs0 = kernel_runs->Value();
+  double delta_ms = std::numeric_limits<double>::infinity();
+  double frozen_ms = std::numeric_limits<double>::infinity();
+  for (int p = 0; p < kLatencyPasses; ++p) {
+    const double d = pass_ms(finder);
+    const double f = pass_ms(reference);
+    if (d < 0.0 || f < 0.0) {
+      std::fprintf(stderr, "FAIL: a latency-pass read errored\n");
+      return false;
+    }
+    delta_ms = std::min(delta_ms, d);
+    frozen_ms = std::min(frozen_ms, f);
+  }
+  out->delta_reads = delta_reads->Value() - reads0;
+  out->delta_postings = delta_postings->Value() - postings0;
+  out->kernel_runs = kernel_runs->Value() - runs0;
+  out->read_delta_ms = delta_ms;
+  out->read_frozen_ms = frozen_ms;
+  const uint64_t want_reads =
+      static_cast<uint64_t>(kLatencyPasses) * world.queries.size();
+  if (out->delta_reads != want_reads || out->kernel_runs == 0) {
+    std::fprintf(stderr,
+                 "FAIL: %llu of %llu reads with a live delta counted as "
+                 "rank.delta.reads, %llu rank.kernel.runs — the delta read "
+                 "path is not the kernel path\n",
+                 static_cast<unsigned long long>(out->delta_reads),
+                 static_cast<unsigned long long>(want_reads),
+                 static_cast<unsigned long long>(out->kernel_runs));
+    return false;
+  }
+  const double ratio = delta_ms / frozen_ms;
+  std::printf("read:      delta %.4fms  frozen %.4fms  ratio %.2f  (min of "
+              "%d passes, %zu queries)\n",
+              delta_ms, frozen_ms, ratio, kLatencyPasses,
+              world.queries.size());
+  if (scale >= kRatioGateMinScale && ratio > kMaxDeltaOverFrozen) {
+    std::fprintf(stderr,
+                 "FAIL: live-delta read %.4fms is %.2fx the frozen read "
+                 "%.4fms (bound %.1fx at scale >= %.2f)\n",
+                 delta_ms, ratio, frozen_ms, kMaxDeltaOverFrozen,
+                 kRatioGateMinScale);
+    return false;
   }
 
   // Compaction phase: reader threads rank continuously; latencies recorded
@@ -399,7 +489,7 @@ bool RunScale(double scale, int num_batches, ScaleResult* out) {
   std::printf("reads during compaction: %zu calls  p50 %.4fms  p95 %.4fms  "
               "p99 %.4fms\n",
               lat.size(), out->read_p50, out->read_p95, out->read_p99);
-  std::printf("equivalence: delta fan-in and compacted index both "
+  std::printf("equivalence: live delta and compacted index both "
               "bit-identical to rebuild\n");
   return true;
 }
@@ -415,6 +505,20 @@ void WriteScaleJson(std::FILE* out, const ScaleResult& r, bool last) {
                r.ingest_docs_per_sec);
   std::fprintf(out, "      \"ingest_batches_per_sec\": %.2f,\n",
                r.ingest_batches_per_sec);
+  std::fprintf(out, "      \"read_latency_ms\": {\n");
+  std::fprintf(out, "        \"delta\": %.4f,\n", r.read_delta_ms);
+  std::fprintf(out, "        \"frozen\": %.4f,\n", r.read_frozen_ms);
+  std::fprintf(out, "        \"delta_over_frozen\": %.3f,\n",
+               r.read_frozen_ms > 0 ? r.read_delta_ms / r.read_frozen_ms
+                                    : 0.0);
+  std::fprintf(out, "        \"min_of_passes\": %d\n", kLatencyPasses);
+  std::fprintf(out, "      },\n");
+  std::fprintf(out, "      \"delta_reads\": %llu,\n",
+               static_cast<unsigned long long>(r.delta_reads));
+  std::fprintf(out, "      \"delta_postings\": %llu,\n",
+               static_cast<unsigned long long>(r.delta_postings));
+  std::fprintf(out, "      \"delta_kernel_runs\": %llu,\n",
+               static_cast<unsigned long long>(r.kernel_runs));
   std::fprintf(out, "      \"compactions\": %zu,\n", r.compactions);
   std::fprintf(out, "      \"compact_seconds\": %.4f,\n", r.compact_seconds);
   std::fprintf(out, "      \"reads_during_compaction\": %zu,\n",
@@ -456,7 +560,13 @@ bool Run(const std::string& json_path) {
     return false;
   }
   std::fprintf(out, "{\n");
-  std::fprintf(out, "  \"schema\": \"crowdex-bench-incremental-v1\",\n");
+  std::fprintf(out, "  \"schema\": \"crowdex-bench-incremental-v2\",\n");
+  std::fprintf(out, "  \"hardware_concurrency\": %d,\n",
+               common::ThreadPool::HardwareThreads());
+  std::fprintf(out, "  \"cpu_features\": \"%s\",\n",
+               common::CpuFeatureString().c_str());
+  std::fprintf(out, "  \"kernel\": \"%s\",\n",
+               index::kernels::Active().name);
   std::fprintf(out, "  \"deterministic_equivalence\": true,\n");
   std::fprintf(out, "  \"scales\": [\n");
   for (size_t i = 0; i < results.size(); ++i) {

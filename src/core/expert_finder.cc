@@ -15,7 +15,8 @@ namespace crowdex::core {
 
 namespace {
 
-/// Dense scoring scratch for the compiled query path. One per thread:
+/// Dense scoring scratch for the compiled and live-delta paths. One per
+/// thread:
 /// `Rank` is const and called concurrently (evaluation fan-out, batch
 /// serving), and the accumulator grows to the largest index this thread
 /// has served, then gets reused — the "reusable vector + generation
@@ -98,6 +99,9 @@ void ExpertFinder::InitServingState() {
     prune_blocks_skipped_ = metrics_->counter("rank.prune.blocks_skipped");
     prune_blocks_scored_ = metrics_->counter("rank.prune.blocks_scored");
     prune_docs_skipped_ = metrics_->counter("rank.prune.docs_skipped");
+    prune_declined_ = metrics_->counter("rank.prune.declined");
+    delta_reads_ = metrics_->counter("rank.delta.reads");
+    delta_postings_ = metrics_->counter("rank.delta.postings");
     kernel_runs_ = metrics_->counter("rank.kernel.runs");
     kernel_prefetches_ = metrics_->counter("rank.kernel.prefetches");
     // The active scoring-kernel tier as its KernelTier ordinal
@@ -276,10 +280,14 @@ plan::ExecContext ExpertFinder::MakeExecContext() const {
   ctx.index = &index_->search_index();
   ctx.eligible = reachable_bits_.data();
   ctx.cache = plan_cache_.get();
-  ctx.acc = compiled_path_ ? &LocalAccumulator() : nullptr;
+  // The live-delta arm scores into the accumulator on every finder,
+  // legacy ones included, so it is always supplied — never a fresh O(N)
+  // one per rank.
+  ctx.acc = &LocalAccumulator();
   // The serving paths hold a DeltaReadGuard around the whole execution, so
   // the pointer (and the reachability bytes above, which the writer grows
-  // under the unique lock) stay valid for the call.
+  // under the unique lock and zeroes for retired docs) stay valid for the
+  // call.
   ctx.delta = delta_.get();
   return ctx;
 }
@@ -312,6 +320,13 @@ void ExpertFinder::RecordRetrievalTraffic(
   if (outcome.kernel_prefetches > 0) {
     kernel_prefetches_->Increment(outcome.kernel_prefetches);
   }
+  if (outcome.delta_read) {
+    delta_reads_->Increment(1);
+    if (outcome.delta_postings > 0) {
+      delta_postings_->Increment(outcome.delta_postings);
+    }
+  }
+  if (outcome.prune_declined) prune_declined_->Increment(1);
 }
 
 std::vector<index::ScoredDoc> ExpertFinder::WindowedResources(
@@ -347,6 +362,8 @@ std::vector<index::ScoredDoc> ExpertFinder::WindowedResources(
     if (score != nullptr) info->canonical_key = plan::EscapeKey(score->cache_key);
     info->passes = std::move(traces);
     info->cache_hit = outcome.cache_hit;
+    info->delta_read = outcome.delta_read;
+    info->prune_declined = outcome.prune_declined;
     *explain = std::move(info);
   }
   return std::move(outcome.windowed);
@@ -491,6 +508,8 @@ Result<ExpertFinder::RankFragment> ExpertFinder::ExecuteFragmentPlan(
   RankFragment frag;
   frag.matched = outcome.matched;
   frag.eligible = outcome.eligible;
+  frag.delta_read = outcome.delta_read;
+  frag.prune_declined = outcome.prune_declined;
   frag.entries.reserve(outcome.windowed.size());
   for (const index::ScoredDoc& doc : outcome.windowed) {
     frag.entries.push_back({doc.doc, doc.score, doc_associations_[doc.doc]});

@@ -180,6 +180,10 @@ class ExpertFinder {
     size_t matched = 0;
     /// Matched resources passing the reachability filter in this shard.
     size_t eligible = 0;
+    /// True when this shard scored over a live delta, and when that made
+    /// a pruned Score run exhaustively (the router's explain reports both).
+    bool delta_read = false;
+    bool prune_declined = false;
   };
 
   /// Validates the inputs and builds a finder over `analyzed` with
@@ -404,21 +408,22 @@ class ExpertFinder {
                           std::vector<plan::PassTrace>* trace) const;
 
   /// The execution context every plan executes against: this finder's
-  /// frozen index, reachability bytes, plan cache, and (on the compiled
-  /// path) the calling thread's accumulator.
+  /// frozen index, reachability bytes, plan cache, delta layer, and the
+  /// calling thread's accumulator.
   plan::ExecContext MakeExecContext() const;
 
   /// Folds one retrieval outcome into the metric counters: cache traffic
   /// into `rank.plan_cache.*`, block-max pruning work into `rank.prune.*`,
-  /// kernel work into `rank.kernel.*`. The SINGLE recording point for
-  /// every executor arm.
+  /// kernel work into `rank.kernel.*`, live-delta reads into
+  /// `rank.delta.*`. The SINGLE recording point for every executor arm.
   void RecordRetrievalTraffic(const plan::RetrievalOutcome& outcome) const;
 
   /// The retrieval front half shared by Rank and Explain: lowers the
   /// query to a plan, optimizes it, and executes it — matched ->
   /// reachability filter -> window. Returns the windowed scored docs.
   /// The plan selects the compiled top-k arm or the retained legacy
-  /// full-sort arm from `compiled_path_`; both return the same bytes.
+  /// full-sort arm from `compiled_path_`, and the live-delta arm while a
+  /// delta is active; all return the same bytes.
   /// When `explain` is non-null it receives the deterministic
   /// `PlanExplain` of the executed plan.
   std::vector<index::ScoredDoc> WindowedResources(
@@ -461,12 +466,19 @@ class ExpertFinder {
   obs::Counter* cache_misses_ = nullptr;
   obs::Counter* cache_evictions_ = nullptr;
   /// `rank.prune.*` — block-max pruning work counters (zero unless
-  /// `blockmax_pruning` serving is on).
+  /// `blockmax_pruning` serving is on); `declined` counts pruned plans a
+  /// live delta made run exhaustively.
   obs::Counter* prune_blocks_skipped_ = nullptr;
   obs::Counter* prune_blocks_scored_ = nullptr;
   obs::Counter* prune_docs_skipped_ = nullptr;
+  obs::Counter* prune_declined_ = nullptr;
+  /// `rank.delta.*` — ranks scored over a live delta and the delta
+  /// postings they scanned.
+  obs::Counter* delta_reads_ = nullptr;
+  obs::Counter* delta_postings_ = nullptr;
   /// `rank.kernel.*` — scoring-kernel work counters (runs = posting-run
-  /// kernel dispatches, prefetches = software prefetches issued); the
+  /// kernel dispatches over base and delta runs, prefetches = software
+  /// prefetches issued); the
   /// `rank.kernel.name` gauge carries the active tier's ordinal.
   obs::Counter* kernel_runs_ = nullptr;
   obs::Counter* kernel_prefetches_ = nullptr;

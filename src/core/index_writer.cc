@@ -66,7 +66,7 @@ Result<IndexWriter> IndexWriter::Attach(ExpertFinder* finder,
   finder->delta_ =
       std::make_shared<index::DeltaState>(&finder->index_->search_index());
   // Re-resolve the serving state so the pass pipeline carries the
-  // DeltaFanIn stage. The delta is empty (inactive), so serving behavior
+  // DeltaFanIn pass. The delta is empty (inactive), so serving behavior
   // is unchanged until the first committed batch.
   finder->InitServingState();
   return IndexWriter(finder, finder->delta_, ctx.metrics);
@@ -80,7 +80,7 @@ Status IndexWriter::Apply(const UpdateBatch& batch) {
   // byte-identical to before the call. The writer mutex keeps the liveness
   // checks valid through the commit below (no other writer can interleave).
   {
-    std::shared_lock<std::shared_mutex> read(delta_->mu);
+    std::shared_lock read(delta_->mu);
     std::unordered_set<uint64_t> seen;
     for (uint64_t ext : batch.deletions) {
       if (!seen.insert(ext).second) {
@@ -112,7 +112,7 @@ Status IndexWriter::Apply(const UpdateBatch& batch) {
   {
     // Commit. A concurrent Rank holds the shared lock for its whole call,
     // so it sees either none or all of this batch.
-    std::unique_lock<std::shared_mutex> write(delta_->mu);
+    std::unique_lock write(delta_->mu);
     for (uint64_t ext : batch.deletions) {
       const int64_t doc = delta_->LiveDocId(ext);
       RetireDocStateLocked(static_cast<index::DocId>(doc), ext);
@@ -228,7 +228,7 @@ Result<index::SearchIndex> IndexWriter::BuildCompactedIndex(
   // [base + delta] while the expensive rebuild below runs unlocked.
   std::vector<index::IndexableDocument> docs;
   {
-    std::shared_lock<std::shared_mutex> read(delta_->mu);
+    std::shared_lock read(delta_->mu);
     docs = delta_->ReconstructLiveDocs();
   }
   *live_docs = docs.size();
@@ -240,7 +240,7 @@ Result<index::SearchIndex> IndexWriter::BuildCompactedIndex(
   index::SearchIndex fresh;
   CROWDEX_RETURN_IF_ERROR(fresh.BulkAdd(views, ctx.pool, ctx.metrics));
   fresh.Freeze(ctx.metrics);
-  return std::move(fresh);
+  return fresh;
 }
 
 void IndexWriter::ReprojectAssociations(ExpertFinder* finder) {
@@ -281,7 +281,7 @@ Status IndexWriter::Compact(const RuntimeContext& ctx) {
     // the new doc order, rebuild the serving state (fresh plan cache — the
     // dictionary slots compiled forms bind to changed), and reset the
     // delta layer onto the new base.
-    std::unique_lock<std::shared_mutex> write(delta_->mu);
+    std::unique_lock write(delta_->mu);
     finder_->owned_index_->mutable_search_index() = std::move(fresh).value();
     ReprojectAssociations(finder_);
     finder_->InitServingState();
@@ -328,7 +328,7 @@ Result<std::shared_ptr<ServingSnapshot>> IndexWriter::CompactAndPublish(
   // Apply through another handle; the writer mutex already excludes other
   // writer operations on this one.
   {
-    std::shared_lock<std::shared_mutex> read(delta_->mu);
+    std::shared_lock read(delta_->mu);
     const index::SearchIndex& si = next.index_->search_index();
     const size_t docs = si.size();
     next.doc_associations_.assign(docs, nullptr);
@@ -363,7 +363,7 @@ Result<std::shared_ptr<ServingSnapshot>> IndexWriter::CompactAndPublish(
 void IndexWriter::InstallGlobalStats(
     std::shared_ptr<const index::GlobalLiveStats> stats) {
   std::lock_guard<std::mutex> writer_lock(*writer_mu_);
-  std::unique_lock<std::shared_mutex> delta_lock(delta_->mu);
+  std::unique_lock delta_lock(delta_->mu);
   delta_->InstallStats(std::move(stats));
 }
 

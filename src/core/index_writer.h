@@ -37,12 +37,20 @@ struct UpdateBatch {
 
 /// The single mutation API over a frozen, serving `ExpertFinder`
 /// (DESIGN.md §16). The frozen base index is never touched: committed
-/// batches land in an append-only delta layer (`index::DeltaState`) that
-/// queries fan in over, with tombstones masking retired documents, and
-/// `Compact` folds base + deltas into a freshly frozen index — after which
-/// the compiled, pruned, SIMD, and sharded serving arms all apply again.
+/// batches land in an append-only delta layer (`index::DeltaState`) whose
+/// posting runs queries score after each group's base run, through the
+/// same SIMD kernels, with retired documents zeroed out of the finder's
+/// reachability bytes; `Compact` folds base + deltas into a freshly frozen
+/// index — after which block-max pruning and the plan cache apply again.
 /// Rankings after any add/remove/compact sequence are bit-identical to a
 /// from-scratch rebuild over the live documents, at every step.
+///
+/// Lock audit (the delta's lock is writer-preferring, so a thread must
+/// never take it shared twice): every serving entry point — `Rank`,
+/// `Explain`, `ReachableResources`, `ExecuteFragmentPlan`,
+/// `SaveSnapshot` — takes one `DeltaReadGuard` and calls nothing that
+/// takes another; the writer takes it shared only while it holds no other
+/// delta lock; the shard router takes each shard's guard on its own.
 ///
 /// Thread model: reads (`Rank` and friends) stay fully concurrent — they
 /// take the delta's shared lock per call. Writer operations (`Apply`,
@@ -61,7 +69,7 @@ class IndexWriter {
   /// share one — compaction rebuilds it in place), be frozen, and have no
   /// writer attached yet (`kFailedPrecondition` otherwise). The finder's
   /// serving state is re-resolved so its plan pipeline carries the
-  /// `DeltaFanIn` stage; with the delta still empty this changes no
+  /// `DeltaFanIn` pass; with the delta still empty this changes no
   /// serving behavior. `finder` must outlive the writer; `ctx.metrics`
   /// (optional, outliving the writer) resolves the `index.delta.*` /
   /// `index.compact.*` instruments.
@@ -121,7 +129,7 @@ class IndexWriter {
   /// `ShardRouter` merges every shard's drift after each batch and installs
   /// the global view into every shard's writer — including shards with no
   /// local mutations, whose frozen statistics went stale the moment any
-  /// other shard mutated (installing activates the fan-in path there).
+  /// other shard mutated (installing activates the live-delta arm there).
   /// Takes the delta's unique lock. Single-index writers never need this.
   void InstallGlobalStats(std::shared_ptr<const index::GlobalLiveStats> stats);
 
@@ -150,7 +158,7 @@ class IndexWriter {
 
   /// Reconstructs the live documents (shared lock only) and builds +
   /// freezes the compacted index across `ctx.pool`. The returned index is
-  /// the from-scratch rebuild the fan-in path is bit-identical to.
+  /// the from-scratch rebuild the live-delta arm is bit-identical to.
   Result<index::SearchIndex> BuildCompactedIndex(const RuntimeContext& ctx,
                                                  size_t* live_docs) const;
 

@@ -352,6 +352,11 @@ Result<ShardedRankResult> ShardRouter::Rank(const RankRequest& request) const {
     // Per-shard plan caches serve the fanned-out Score; a single hit bit
     // would misstate a mixed scatter, so sharded explain leaves it false.
     explain->cache_hit = false;
+    for (int s = 0; s < n; ++s) {
+      if (!statuses[s].ok()) continue;
+      explain->delta_read |= fragments[s].delta_read;
+      explain->prune_declined |= fragments[s].prune_declined;
+    }
     out.ranked.explain = std::move(explain);
   }
   return out;

@@ -183,7 +183,7 @@ class ShardRouter {
   /// acts as the cross-shard statistics coordinator: it merges every
   /// shard's rf / live-doc drift into absolute `GlobalLiveStats` (term
   /// base rf summed over the per-shard posting segments) and installs the
-  /// global view into EVERY shard, so fan-in scoring on each shard uses
+  /// global view into EVERY shard, so live-delta scoring on each shard uses
   /// collection-wide statistics and `Rank` stays bit-identical to an
   /// unsharded from-scratch rebuild over the live documents.
   ///

@@ -6,27 +6,9 @@
 #include <limits>
 #include <utility>
 
+#include "index/kernels/kernels.h"
+
 namespace crowdex::index {
-
-namespace {
-
-/// Same strict total order as the legacy scorer's sort: descending score,
-/// ties by ascending doc id.
-bool BetterDoc(const ScoredDoc& a, const ScoredDoc& b) {
-  return a.score != b.score ? a.score > b.score : a.doc < b.doc;
-}
-
-const std::vector<DeltaTermPosting>& EmptyTermPostings() {
-  static const std::vector<DeltaTermPosting> kEmpty;
-  return kEmpty;
-}
-
-const std::vector<DeltaEntityPosting>& EmptyEntityPostings() {
-  static const std::vector<DeltaEntityPosting> kEmpty;
-  return kEmpty;
-}
-
-}  // namespace
 
 DeltaState::DeltaState(const SearchIndex* base) { ResetForNewBase(base); }
 
@@ -36,7 +18,6 @@ void DeltaState::ResetForNewBase(const SearchIndex* base) {
                 "DeltaState: base index must be frozen"),
             "DeltaState::ResetForNewBase");
   }
-  base_ = base;
   view_ = base->ExportFrozen();
   base_docs_ = view_.external_ids->size();
 
@@ -102,10 +83,11 @@ void DeltaState::ResetForNewBase(const SearchIndex* base) {
   delta_docs_.clear();
   delta_doc_terms_.clear();
   delta_doc_entities_.clear();
-  term_delta_postings_.clear();
-  entity_delta_postings_.clear();
-  tombstones_.assign(base_docs_, 0);
-  tombstone_count_ = 0;
+  term_runs_.clear();
+  entity_runs_.clear();
+  ext_ids_.assign(view_.external_ids->begin(), view_.external_ids->end());
+  live_mask_.assign(base_docs_, 1);
+  tombstones_.clear();
   term_rf_delta_.clear();
   entity_rf_delta_.clear();
   live_docs_delta_ = 0;
@@ -114,8 +96,8 @@ void DeltaState::ResetForNewBase(const SearchIndex* base) {
 }
 
 void DeltaState::RemoveDocLocked(DocId doc) {
-  tombstones_[doc] = 1;
-  ++tombstone_count_;
+  live_mask_[doc] = 0;
+  tombstones_.push_back(doc);
   --live_docs_delta_;
   auto bump_term = [this](std::string_view term, int64_t by) {
     auto it = term_rf_delta_.find(term);
@@ -163,7 +145,9 @@ Status DeltaState::Upsert(const IndexableDocument& doc) {
   std::vector<std::pair<std::string, uint32_t>> dterms;
   dterms.reserve(tf.size());
   for (const auto& [term, count] : tf) {
-    term_delta_postings_[term].push_back({id, count});
+    DeltaTermRun& run = term_runs_[term];
+    run.docs.push_back(id);
+    run.tf.push_back(count);
     ++term_rf_delta_[term];
     dterms.emplace_back(term, count);
   }
@@ -180,7 +164,11 @@ Status DeltaState::Upsert(const IndexableDocument& doc) {
   dents.reserve(merged.size());
   for (const auto& [eid, e] : merged) {
     (void)eid;
-    entity_delta_postings_[e.entity].push_back({id, e.frequency, e.dscore});
+    DeltaEntityRun& run = entity_runs_[e.entity];
+    run.docs.push_back(id);
+    run.ef.push_back(e.frequency);
+    // Eq. 2, exactly as `Freeze` computes the arena weight.
+    run.we.push_back(e.dscore > 0.0 ? 1.0 + e.dscore : 0.0);
     ++entity_rf_delta_[e.entity];
     dents.push_back(e);
   }
@@ -188,7 +176,8 @@ Status DeltaState::Upsert(const IndexableDocument& doc) {
   delta_docs_.push_back(doc);
   delta_doc_terms_.push_back(std::move(dterms));
   delta_doc_entities_.push_back(std::move(dents));
-  tombstones_.push_back(0);
+  ext_ids_.push_back(doc.external_id);
+  live_mask_.push_back(1);
   live_.emplace(doc.external_id, id);
   ++live_docs_delta_;
   active_.store(true, std::memory_order_release);
@@ -244,17 +233,14 @@ uint64_t DeltaState::LiveDocCount() const {
   return static_cast<uint64_t>(live_docs());
 }
 
-const std::vector<DeltaTermPosting>& DeltaState::TermPostings(
-    std::string_view term) const {
-  auto it = term_delta_postings_.find(term);
-  return it == term_delta_postings_.end() ? EmptyTermPostings() : it->second;
+const DeltaTermRun* DeltaState::TermRun(std::string_view term) const {
+  auto it = term_runs_.find(term);
+  return it == term_runs_.end() ? nullptr : &it->second;
 }
 
-const std::vector<DeltaEntityPosting>& DeltaState::EntityPostings(
-    entity::EntityId entity) const {
-  auto it = entity_delta_postings_.find(entity);
-  return it == entity_delta_postings_.end() ? EmptyEntityPostings()
-                                            : it->second;
+const DeltaEntityRun* DeltaState::EntityRun(entity::EntityId entity) const {
+  auto it = entity_runs_.find(entity);
+  return it == entity_runs_.end() ? nullptr : &it->second;
 }
 
 uint32_t DeltaState::LocalBaseTermRf(std::string_view term) const {
@@ -283,7 +269,7 @@ std::vector<IndexableDocument> DeltaState::ReconstructLiveDocs() const {
   std::vector<IndexableDocument> out;
   out.reserve(live_docs());
   for (DocId d = 0; d < base_docs_; ++d) {
-    if (tombstones_[d] != 0) continue;
+    if (live_mask_[d] == 0) continue;
     IndexableDocument doc;
     doc.external_id = (*view_.external_ids)[d];
     for (const BaseTermRef& r : base_terms_[d]) {
@@ -295,85 +281,118 @@ std::vector<IndexableDocument> DeltaState::ReconstructLiveDocs() const {
     out.push_back(std::move(doc));
   }
   for (size_t i = 0; i < delta_docs_.size(); ++i) {
-    if (tombstones_[base_docs_ + i] != 0) continue;
+    if (live_mask_[base_docs_ + i] == 0) continue;
     out.push_back(delta_docs_[i]);
   }
   return out;
 }
 
-std::vector<ScoredDoc> SearchGroupsWithDelta(
+RetrievalStats DeltaState::Accumulate(
     const std::vector<QueryTermGroup>& terms,
     const std::vector<QueryEntityGroup>& entities, double alpha,
-    const DeltaState& delta) {
+    const uint8_t* eligible, ScoreAccumulator* acc) const {
   assert(alpha >= 0.0 && alpha <= 1.0);
-  const FrozenIndexView& v = delta.base_view();
+  acc->Reset(total_docs());
+  const uint64_t epoch = acc->epoch_;
+  double* const scores = acc->scores_.data();
+  uint64_t* const stamps = acc->stamps_.data();
+  DocId* const touched = acc->touched_.data();
+  size_t touched_count = 0;
+
   // The live collection size Eq. 1's inverse frequencies divide by — what
-  // `SearchIndex::size()` would return after a from-scratch rebuild.
-  const uint64_t n = delta.LiveDocCount();
+  // `SearchIndex::size()` returns after a from-scratch rebuild — through
+  // `SearchIndex::InverseFrequency`'s expression. The frozen `irf` tables
+  // are stale as soon as N moves, so every weight is recomputed here.
+  const uint64_t n = LiveDocCount();
   auto inverse_frequency = [n](uint64_t rf) {
     if (rf == 0) return 0.0;
     return std::log(1.0 +
                     static_cast<double>(n) / static_cast<double>(rf));
   };
-  std::unordered_map<DocId, double> scores;
+  const FrozenIndexView& v = view_;
+  const kernels::KernelSet& ks = kernels::Active();
+  RetrievalStats stats;
 
+  // The weights replicate the frozen path's `alpha * qw * irf * irf`
+  // association (the uint32 multiplicity promotes to the same double), and
+  // the kernels form the same per-posting products, so every contribution
+  // is the double a rebuild's compiled pass adds.
   if (alpha > 0.0) {
     for (const QueryTermGroup& g : terms) {
-      const int64_t slot = delta.BaseTermSlot(g.term);
-      const std::vector<DeltaTermPosting>& extra = delta.TermPostings(g.term);
-      if (slot < 0 && extra.empty()) continue;
-      double irf = inverse_frequency(delta.LiveTermRf(g.term));
-      double weight = alpha * g.qtf * irf * irf;
+      const int64_t slot = BaseTermSlot(g.term);
+      const DeltaTermRun* run = TermRun(g.term);
+      if (slot < 0 && run == nullptr) continue;
+      const double irf = inverse_frequency(LiveTermRf(g.term));
+      const double weight = alpha * g.qtf * irf * irf;
       if (slot >= 0) {
         const size_t begin = (*v.term_offsets)[static_cast<size_t>(slot)];
         const size_t end = (*v.term_offsets)[static_cast<size_t>(slot) + 1];
-        for (size_t i = begin; i < end; ++i) {
-          scores[(*v.term_post_doc)[i]] += weight * (*v.term_post_tf)[i];
-        }
+        stats.kernel_prefetches += ks.term_run(
+            v.term_post_doc->data() + begin, v.term_post_tf->data() + begin,
+            end - begin, weight, scores, stamps, epoch, touched,
+            &touched_count);
+        ++stats.kernel_runs;
       }
-      for (const DeltaTermPosting& p : extra) {
-        scores[p.doc] += weight * p.tf;
+      if (run != nullptr) {
+        stats.kernel_prefetches +=
+            ks.term_run(run->docs.data(), run->tf.data(), run->docs.size(),
+                        weight, scores, stamps, epoch, touched,
+                        &touched_count);
+        ++stats.kernel_runs;
+        stats.delta_postings += run->docs.size();
       }
     }
   }
 
   if (alpha < 1.0) {
+    const double anti = 1.0 - alpha;
     for (const QueryEntityGroup& g : entities) {
-      const int64_t slot = delta.BaseEntitySlot(g.entity);
-      const std::vector<DeltaEntityPosting>& extra =
-          delta.EntityPostings(g.entity);
-      if (slot < 0 && extra.empty()) continue;
-      double eirf = inverse_frequency(delta.LiveEntityRf(g.entity));
-      double weight = (1.0 - alpha) * g.qef * eirf * eirf;
+      const int64_t slot = BaseEntitySlot(g.entity);
+      const DeltaEntityRun* run = EntityRun(g.entity);
+      if (slot < 0 && run == nullptr) continue;
+      const double eirf = inverse_frequency(LiveEntityRf(g.entity));
+      const double weight = anti * g.qef * eirf * eirf;
       if (slot >= 0) {
+        // The arena holds only positive-weight postings; the pruned ones
+        // would add `+0.0`, a bitwise no-op, so skipping them changes no
+        // score — the same argument `Freeze` makes.
         const size_t begin = (*v.entity_offsets)[static_cast<size_t>(slot)];
-        const size_t end = (*v.entity_offsets)[static_cast<size_t>(slot) + 1];
-        for (size_t i = begin; i < end; ++i) {
-          // The arena's `we` IS the `1 + dScore` the legacy scorer would
-          // recompute (the round trip through the forward info is exact —
-          // see the ctor); its pruned zero-weight postings would contribute
-          // `+0.0`, a bitwise no-op on the non-negative accumulator, so
-          // skipping them here changes no score.
-          scores[(*v.entity_post_doc)[i]] +=
-              weight * (*v.entity_post_ef)[i] * (*v.entity_post_we)[i];
-        }
+        const size_t end =
+            (*v.entity_offsets)[static_cast<size_t>(slot) + 1];
+        stats.kernel_prefetches += ks.entity_run(
+            v.entity_post_doc->data() + begin,
+            v.entity_post_ef->data() + begin,
+            v.entity_post_we->data() + begin, end - begin, weight, scores,
+            stamps, epoch, touched, &touched_count);
+        ++stats.kernel_runs;
       }
-      for (const DeltaEntityPosting& p : extra) {
-        // Eq. 2: we(e,r) = 1 + dScore when disambiguation succeeded.
-        double we = p.dscore > 0.0 ? 1.0 + p.dscore : 0.0;
-        scores[p.doc] += weight * p.ef * we;
+      if (run != nullptr) {
+        stats.kernel_prefetches += ks.entity_run(
+            run->docs.data(), run->ef.data(), run->we.data(),
+            run->docs.size(), weight, scores, stamps, epoch, touched,
+            &touched_count);
+        ++stats.kernel_runs;
+        stats.delta_postings += run->docs.size();
       }
     }
   }
 
-  std::vector<ScoredDoc> out;
-  out.reserve(scores.size());
-  for (const auto& [doc, score] : scores) {
-    if (delta.IsTombstoned(doc)) continue;
-    if (score > 0.0) out.push_back({doc, delta.external_id(doc), score});
+  acc->touched_count_ = touched_count;
+  acc->ext_ids_ = ext_ids_.data();
+  const uint8_t* filter = eligible != nullptr ? eligible : live_mask_.data();
+  stats.matched =
+      ks.collect(touched, touched_count, scores, filter, &acc->candidates_);
+  stats.eligible = acc->candidates_.size();
+  // The collect kernel counts positive scores before the filter, so a
+  // retired doc this pass scored positive is counted but (filtered out)
+  // never collected. A rebuild does not hold it at all.
+  for (DocId d : tombstones_) {
+    if (stamps[d] == epoch && scores[d] > 0.0) {
+      assert(filter[d] == 0);
+      --stats.matched;
+    }
   }
-  std::sort(out.begin(), out.end(), BetterDoc);
-  return out;
+  return stats;
 }
 
 }  // namespace crowdex::index

@@ -10,34 +10,37 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/shared_mutex.h"
 #include "common/status.h"
 #include "common/string_util.h"
 #include "index/search_index.h"
 
 namespace crowdex::index {
 
-/// One term posting appended after the base froze. Delta doc ids continue
-/// the base id space: the i-th appended document gets id `base_docs + i`,
-/// so every delta id is strictly greater than every base id and appended
-/// order is id order — exactly the ids a from-scratch rebuild over
-/// [base order minus tombstones, then delta order] assigns, up to the
-/// strictly-increasing renumbering that closes the tombstone gaps. A
-/// strictly-increasing renumbering preserves the (score desc, doc asc)
-/// tie-break, which is what keeps fan-in rankings bit-identical to the
-/// rebuild (DESIGN.md §16).
-struct DeltaTermPosting {
-  DocId doc;
-  uint32_t tf;
+/// The delta postings of one term, in the frozen arenas' structure-of-
+/// arrays layout so the scoring kernels run over them unchanged. Delta doc
+/// ids continue the base id space: the i-th appended document gets id
+/// `base_docs + i`, so every delta id is strictly greater than every base
+/// id and appended order is id order — each run is strictly ascending, the
+/// precondition the kernels' one-lane-per-doc argument rests on. Those are
+/// exactly the ids a from-scratch rebuild over [base order minus
+/// tombstones, then delta order] assigns, up to the strictly-increasing
+/// renumbering that closes the tombstone gaps, which preserves the
+/// (score desc, doc asc) tie-break (DESIGN.md §16).
+struct DeltaTermRun {
+  std::vector<DocId> docs;
+  std::vector<uint32_t> tf;
 };
 
-/// One entity posting appended after the base froze. Unlike the frozen
-/// arena, delta postings are NOT pruned at zero weight: the scorer applies
-/// Eq. 2 (`we = dscore > 0 ? 1 + dscore : 0`) exactly like the legacy
-/// hash-map scorer, and the unpruned list is what live entity rf counts.
-struct DeltaEntityPosting {
-  DocId doc;
-  uint32_t ef;
-  double dscore;
+/// The delta postings of one entity, SoA like `DeltaTermRun`. `we` is the
+/// Eq. 2 weight `dscore > 0 ? 1 + dscore : 0`, computed once at `Upsert` —
+/// the value `Freeze` stores in the entity arena. Unlike the arena, a
+/// posting of weight 0 is kept: it contributes `+0.0`, a bitwise no-op on
+/// the non-negative accumulator that cannot make a score positive.
+struct DeltaEntityRun {
+  std::vector<DocId> docs;
+  std::vector<uint32_t> ef;
+  std::vector<double> we;
 };
 
 /// Absolute live collection statistics installed by the index writer (or,
@@ -69,20 +72,22 @@ struct GlobalLiveStats {
 };
 
 /// The mutable half of an incrementally-served index (DESIGN.md §16):
-/// append-only delta postings for documents added after the base froze,
-/// tombstones masking retired documents (base or delta), and the signed rf
-/// drift the mutations caused. The frozen base `SearchIndex` is never
-/// touched — queries fan in over [base arenas + delta postings] with
-/// tombstones filtered at emission (`SearchGroupsWithDelta`), and
-/// compaction reconstructs the live document set and refreezes from
-/// scratch.
+/// append-only delta posting runs for documents added after the base
+/// froze, tombstones masking retired documents (base or delta), and the
+/// signed rf drift the mutations caused. The frozen base `SearchIndex` is
+/// never touched — `Accumulate` scores each query group's base arena run
+/// and then its delta run through the same SIMD kernels the frozen path
+/// uses, and compaction reconstructs the live document set and refreezes
+/// from scratch.
 ///
-/// Thread model: `mu` is the single reader/writer lock. Every mutation
+/// Thread model: `mu` is the single reader/writer lock, writer-preferring
+/// so back-to-back readers cannot starve a commit. Every mutation
 /// (`Upsert` / `Remove` / `ResetForNewBase` / `InstallStats`) requires the
 /// unique lock; every read of delta state — including the whole of a rank
-/// that might consume it — holds the shared lock (`DeltaReadGuard`).
-/// `active()` alone is lock-free (an atomic), so plan construction can ask
-/// "is there any delta to fan in?" without touching the lock.
+/// that might consume it — holds the shared lock (`DeltaReadGuard`), and
+/// no thread may take it twice (see `SharedMutex`). `active()` alone is
+/// lock-free (an atomic), so plan construction can ask "is there any
+/// delta?" without touching the lock.
 class DeltaState {
  public:
   /// Builds the delta layer over `base`, which must be frozen and must
@@ -113,10 +118,10 @@ class DeltaState {
   void ResetForNewBase(const SearchIndex* base);
 
   /// Publishes the absolute live statistics for the current delta state and
-  /// activates the fan-in path: under sharding, a shard with no local delta
-  /// postings must still fan in once any shard mutated, because the global
-  /// document count (and with it every inverse frequency) changed. Caller
-  /// holds the unique lock.
+  /// activates the live-statistics path: under sharding, a shard with no
+  /// local delta postings must still score with live weights once any
+  /// shard mutated, because the global document count (and with it every
+  /// inverse frequency) changed. Caller holds the unique lock.
   void InstallStats(std::shared_ptr<const GlobalLiveStats> stats) {
     stats_ = std::move(stats);
     active_.store(true, std::memory_order_release);
@@ -127,24 +132,44 @@ class DeltaState {
   /// decide whether a `DeltaFanIn` stage is needed at all.
   bool active() const { return active_.load(std::memory_order_acquire); }
 
-  // --- Shared-lock read surface (the fan-in scorer and the writer) --------
+  /// Eq. 1 over [frozen base + delta] into `acc`, with live collection
+  /// statistics: for each group in the given order, the base arena run
+  /// (when the base dictionary holds the term/entity) and then the delta
+  /// run (when one exists) go through the active `KernelSet` at the weight
+  /// `alpha · qw · irf · irf`, irf over `LiveDocCount()` and the live rf.
+  /// A document lives in exactly one segment, so it receives its
+  /// contributions in group order — the rebuild's addition schedule.
+  /// Groups absent from both segments score nothing and are skipped, so
+  /// a term that first appeared in the delta scores at its own position.
+  ///
+  /// Candidates are collected through `eligible` (a byte per doc over
+  /// `total_docs()`), which must be 0 for every tombstoned doc — the
+  /// writer zeroes the finder's reachability byte on retirement. Null
+  /// means "every live doc". `matched` is corrected to exclude tombstoned
+  /// docs (an O(tombstones) walk), so both counts equal the rebuild's.
+  /// Retrieve the ranking with `acc->TakeTop`; ids over the combined
+  /// [base, delta] column. Caller holds the shared lock.
+  RetrievalStats Accumulate(const std::vector<QueryTermGroup>& terms,
+                            const std::vector<QueryEntityGroup>& entities,
+                            double alpha, const uint8_t* eligible,
+                            ScoreAccumulator* acc) const;
 
-  const SearchIndex& base() const { return *base_; }
+  // --- Shared-lock read surface (the scorer and the writer) ---------------
+
   const FrozenIndexView& base_view() const { return view_; }
-  std::shared_ptr<const GlobalLiveStats> stats() const { return stats_; }
 
   size_t base_docs() const { return base_docs_; }
   size_t delta_docs() const { return delta_docs_.size(); }
-  /// Total id space the fan-in scorer emits over: base ids then delta ids.
-  size_t total_docs() const { return base_docs_ + delta_docs_.size(); }
+  /// Total id space the scorer ranks over: base ids then delta ids.
+  size_t total_docs() const { return ext_ids_.size(); }
   /// Live documents (base + delta, minus tombstones).
   size_t live_docs() const {
     return static_cast<size_t>(static_cast<int64_t>(base_docs_) +
                                live_docs_delta_);
   }
-  size_t tombstone_count() const { return tombstone_count_; }
+  size_t tombstone_count() const { return tombstones_.size(); }
 
-  bool IsTombstoned(DocId doc) const { return tombstones_[doc] != 0; }
+  bool IsTombstoned(DocId doc) const { return live_mask_[doc] == 0; }
   bool IsLive(uint64_t external_id) const {
     return live_.find(external_id) != live_.end();
   }
@@ -155,10 +180,7 @@ class DeltaState {
     auto it = live_.find(external_id);
     return it == live_.end() ? -1 : static_cast<int64_t>(it->second);
   }
-  uint64_t external_id(DocId doc) const {
-    return doc < base_docs_ ? (*view_.external_ids)[doc]
-                            : delta_docs_[doc - base_docs_].external_id;
-  }
+  uint64_t external_id(DocId doc) const { return ext_ids_[doc]; }
 
   /// Live collection rf of `term` / `entity` — the statistics a rebuild
   /// over the live documents would compute (see `GlobalLiveStats` for the
@@ -168,11 +190,9 @@ class DeltaState {
   /// Live document count the inverse-frequency statistic divides by.
   uint64_t LiveDocCount() const;
 
-  /// Delta postings of `term` / `entity` (empty when none were appended).
-  const std::vector<DeltaTermPosting>& TermPostings(
-      std::string_view term) const;
-  const std::vector<DeltaEntityPosting>& EntityPostings(
-      entity::EntityId entity) const;
+  /// Delta posting run of `term` / `entity`; null when none was appended.
+  const DeltaTermRun* TermRun(std::string_view term) const;
+  const DeltaEntityRun* EntityRun(entity::EntityId entity) const;
 
   /// Base rf of `term` in the local frozen base (the posting-segment
   /// length; 0 for unknown terms). Shard-local under sharding.
@@ -180,7 +200,7 @@ class DeltaState {
   uint32_t LocalBaseEntityRf(entity::EntityId entity) const;
 
   /// Dictionary slot of `term` / `entity` in the frozen base, or -1 when
-  /// absent — how the fan-in scorer finds the base arena segment to walk.
+  /// absent — how `Accumulate` finds the base arena segment to walk.
   int64_t BaseTermSlot(std::string_view term) const;
   int64_t BaseEntitySlot(entity::EntityId entity) const;
 
@@ -201,13 +221,13 @@ class DeltaState {
   /// The live document set in canonical rebuild order: base documents in
   /// id order with tombstoned ones removed, then delta documents in
   /// appended order. Feeding this to `BulkAdd` + `Freeze` produces the
-  /// from-scratch rebuild the fan-in path is bit-identical to — which is
+  /// from-scratch rebuild `Accumulate` is bit-identical to — which is
   /// exactly what compaction does.
   std::vector<IndexableDocument> ReconstructLiveDocs() const;
 
   /// One reader/writer lock over the whole delta state (see the class
   /// comment). Public so `DeltaReadGuard` and the writer can take it.
-  mutable std::shared_mutex mu;
+  mutable SharedMutex mu;
 
  private:
   struct BaseTermRef {
@@ -219,7 +239,6 @@ class DeltaState {
   /// everything it contained.
   void RemoveDocLocked(DocId doc);
 
-  const SearchIndex* base_ = nullptr;
   FrozenIndexView view_;
   size_t base_docs_ = 0;
 
@@ -256,15 +275,21 @@ class DeltaState {
       delta_doc_terms_;
   std::vector<std::vector<DocEntity>> delta_doc_entities_;
 
-  std::unordered_map<std::string, std::vector<DeltaTermPosting>,
-                     TransparentStringHash, std::equal_to<>>
-      term_delta_postings_;
-  std::unordered_map<entity::EntityId, std::vector<DeltaEntityPosting>>
-      entity_delta_postings_;
+  std::unordered_map<std::string, DeltaTermRun, TransparentStringHash,
+                     std::equal_to<>>
+      term_runs_;
+  std::unordered_map<entity::EntityId, DeltaEntityRun> entity_runs_;
 
-  /// Byte per doc over [0, total_docs()); 1 = retired.
-  std::vector<uint8_t> tombstones_;
-  size_t tombstone_count_ = 0;
+  /// External id per doc over [0, total_docs()): the base column followed
+  /// by one entry per append — the id column `TakeTop` materializes
+  /// winners from.
+  std::vector<uint64_t> ext_ids_;
+  /// Byte per doc over [0, total_docs()); 1 = live, 0 = retired. The
+  /// eligibility filter `Accumulate` falls back to without a caller mask.
+  std::vector<uint8_t> live_mask_;
+  /// Every retired doc id, each once (in retirement order) — the
+  /// O(tombstones) walk that corrects `matched`.
+  std::vector<DocId> tombstones_;
 
   std::unordered_map<std::string, int64_t, TransparentStringHash,
                      std::equal_to<>>
@@ -282,30 +307,13 @@ class DeltaReadGuard {
  public:
   explicit DeltaReadGuard(const DeltaState* delta) {
     if (delta != nullptr) {
-      lock_ = std::shared_lock<std::shared_mutex>(delta->mu);
+      lock_ = std::shared_lock<SharedMutex>(delta->mu);
     }
   }
 
  private:
-  std::shared_lock<std::shared_mutex> lock_;
+  std::shared_lock<SharedMutex> lock_;
 };
-
-/// The fan-in scorer: Eq. 1 over [frozen base arenas + delta postings]
-/// with live collection statistics and tombstones filtered at emission.
-/// Character-for-character the legacy `SearchGroups` accumulation — same
-/// expression shapes, same group order, one `unordered_map` slot per
-/// document — over the base segment first and the delta postings second
-/// (a document appears at most once per group, so per-document sums see
-/// contributions in exactly the group order either way). Returns documents
-/// with positive score sorted by (score desc, doc asc), doc ids in the
-/// combined [base, delta] id space. Bit-identical to a from-scratch
-/// rebuild over the live documents (the §16 equivalence argument).
-///
-/// Caller holds the shared lock on `delta`.
-std::vector<ScoredDoc> SearchGroupsWithDelta(
-    const std::vector<QueryTermGroup>& terms,
-    const std::vector<QueryEntityGroup>& entities, double alpha,
-    const DeltaState& delta);
 
 }  // namespace crowdex::index
 

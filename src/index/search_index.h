@@ -305,6 +305,9 @@ struct RetrievalStats {
   /// prefetches on the compiled path, next-block prefetches on the pruned
   /// path). Observability only.
   uint64_t kernel_prefetches = 0;
+  /// Delta postings scanned (`DeltaState::Accumulate` only; 0 on frozen
+  /// passes). Observability only.
+  uint64_t delta_postings = 0;
 };
 
 /// Skip accounting for one pruned retrieval pass (observability only —
@@ -379,6 +382,7 @@ class ScoreAccumulator {
 
  private:
   friend class SearchIndex;
+  friend class DeltaState;
 
   /// Starts a new query over `num_docs` documents: bumps the epoch and
   /// grows the buffers if the index is larger than anything seen before.
@@ -405,7 +409,8 @@ class ScoreAccumulator {
   CandidateVec candidates_;
   /// 0 = unbounded (plain accumulate mode).
   size_t topk_limit_ = 0;
-  /// External-id column of the index the last accumulate ran against;
+  /// External-id column of the index the last accumulate ran against (the
+  /// delta layer's combined [base, delta] column after a live-delta pass);
   /// `TakeTop` materializes `ScoredDoc::external_id` from it for the
   /// selected winners only (the collect kernels and the pruned offers
   /// store 0). Null when candidates were offered manually with their ids

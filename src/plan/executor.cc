@@ -125,35 +125,37 @@ RetrievalOutcome ExecuteScore(const PlanNode& score, const ExecContext& ctx,
   return out;
 }
 
-/// The incremental fan-in arm: scores the leaf groups over [frozen base +
-/// delta postings] with live statistics and tombstone masking
-/// (`SearchGroupsWithDelta`), then applies the same filter/truncate
-/// sequence as the legacy arm. The caller holds the delta's shared lock
-/// (the `ExecuteRetrieval` contract), and `ctx.eligible` — when present —
-/// must cover the combined [base + delta] id space.
+/// The live-delta arm: scores the leaf groups over [frozen base + delta
+/// runs] with live statistics through the kernels
+/// (`DeltaState::Accumulate`), then `TakeTop`s the resolved window — one
+/// path for single-index and fragment serving, whatever the Score node's
+/// arm flags say. Block-max bounds describe the frozen arenas at frozen
+/// weights, so a pruned Score runs exhaustively here (`prune_declined`).
+/// The plan cache is bypassed: its compiled forms are base-only. The
+/// caller holds the delta's shared lock, and `ctx.eligible` — when
+/// present — covers the combined [base + delta] id space and is 0 on
+/// tombstoned docs.
 template <typename TakeFn>
-RetrievalOutcome ExecuteFanIn(const PlanNode& score, const ExecContext& ctx,
-                              TakeFn take) {
+RetrievalOutcome ExecuteLive(const PlanNode& score, const ExecContext& ctx,
+                             TakeFn take) {
   assert(score.kind == PlanNodeKind::kScore);
   assert(ctx.delta != nullptr);
   RetrievalOutcome out;
   std::vector<index::QueryTermGroup> terms;
   std::vector<index::QueryEntityGroup> entities;
   GatherGroups(score, &terms, &entities);
-  std::vector<index::ScoredDoc> matches = index::SearchGroupsWithDelta(
-      terms, entities, score.alpha, *ctx.delta);
-  out.matched = matches.size();
-  if (ctx.eligible != nullptr) {
-    std::vector<index::ScoredDoc> filtered;
-    filtered.reserve(matches.size());
-    for (const index::ScoredDoc& doc : matches) {
-      if (ctx.eligible[doc.doc] != 0) filtered.push_back(doc);
-    }
-    matches = std::move(filtered);
-  }
-  out.eligible = matches.size();
-  matches.resize(take(matches.size()));
-  out.windowed = std::move(matches);
+  index::ScoreAccumulator local;
+  index::ScoreAccumulator* acc = ctx.acc != nullptr ? ctx.acc : &local;
+  const index::RetrievalStats rs = ctx.delta->Accumulate(
+      terms, entities, score.alpha, ctx.eligible, acc);
+  out.matched = rs.matched;
+  out.eligible = rs.eligible;
+  out.kernel_runs = rs.kernel_runs;
+  out.kernel_prefetches = rs.kernel_prefetches;
+  out.delta_read = true;
+  out.delta_postings = rs.delta_postings;
+  out.prune_declined = score.pruned;
+  acc->TakeTop(take(rs.eligible), &out.windowed);
   return out;
 }
 
@@ -162,31 +164,31 @@ RetrievalOutcome ExecuteFanIn(const PlanNode& score, const ExecContext& ctx,
 RetrievalOutcome ExecuteRetrieval(const PlanNode& retrieval,
                                   const ExecContext& ctx) {
   // Accept both post-pushdown (bare Score with pushed_window) and
-  // pre-pushdown (Window → Score) shapes; they resolve the same window.
+  // pre-pushdown (Window → Score) shapes, either with a DeltaFanIn stage
+  // directly above the Score; they resolve the same window.
   const PlanNode* score = &retrieval;
   const WindowSpec* window = nullptr;
-  bool fanin = false;
-  if (retrieval.kind == PlanNodeKind::kWindow) {
-    assert(retrieval.children.size() == 1);
-    score = &retrieval.children[0];
-    window = &retrieval.window;
-    if (score->kind == PlanNodeKind::kDeltaFanIn) {
-      // Incremental serving: unwrap to the inner Score. With no delta
-      // attached the stage degrades to base-only scoring — same bytes,
-      // since an absent delta means no mutations to fan in.
-      assert(score->children.size() == 1 &&
-             score->children[0].kind == PlanNodeKind::kScore);
-      fanin = ctx.delta != nullptr;
-      score = &score->children[0];
-    }
-    assert(score->kind == PlanNodeKind::kScore);
-  } else if (retrieval.pushed_window.has_value()) {
-    window = &*retrieval.pushed_window;
+  if (score->kind == PlanNodeKind::kWindow) {
+    assert(score->children.size() == 1);
+    window = &score->window;
+    score = &score->children[0];
+  }
+  bool live = false;
+  if (score->kind == PlanNodeKind::kDeltaFanIn) {
+    // With no delta attached the stage degrades to base-only scoring —
+    // same bytes, since an absent delta means no mutations.
+    assert(score->children.size() == 1);
+    live = ctx.delta != nullptr;
+    score = &score->children[0];
+  }
+  assert(score->kind == PlanNodeKind::kScore);
+  if (window == nullptr && score->pushed_window.has_value()) {
+    window = &*score->pushed_window;
   }
   const auto take = [window](size_t eligible) {
     return window != nullptr ? ResolveWindowSpec(eligible, *window) : eligible;
   };
-  if (fanin) return ExecuteFanIn(*score, ctx, take);
+  if (live) return ExecuteLive(*score, ctx, take);
   // Pruned execution needs a fixed top-k known before scoring; fraction
   // windows resolve against the eligible total, so they stay exhaustive.
   const size_t pruned_k =
@@ -206,11 +208,11 @@ RetrievalOutcome ExecuteFragment(const PlanNode& score, size_t limit,
     return limit == 0 ? eligible : std::min(limit, eligible);
   };
   // Sharded plans carry no DeltaFanIn node (the router's pipeline has no
-  // delta), so fragments check the delta directly: active deltas route
-  // this shard through the fan-in arm with the coordinator-installed
-  // global statistics.
+  // delta), so fragments check the delta directly: an active delta scores
+  // this shard through the live arm with the coordinator-installed global
+  // statistics.
   if (ctx.delta != nullptr && ctx.delta->active()) {
-    return ExecuteFanIn(score, ctx, take);
+    return ExecuteLive(score, ctx, take);
   }
   const size_t pruned_k = (score.pruned && limit > 0) ? limit : 0;
   return ExecuteScore(score, ctx, take, pruned_k);

@@ -69,22 +69,39 @@ bool InsertShardFanoutPass::Run(QueryPlan* plan) const {
   return true;
 }
 
+namespace {
+
+/// The node whose direct child is the first Score below `node` (pre-order);
+/// null when no Score sits below it.
+PlanNode* ParentOfScore(PlanNode* node) {
+  for (PlanNode& child : node->children) {
+    if (child.kind == PlanNodeKind::kScore) return node;
+    if (PlanNode* parent = ParentOfScore(&child)) return parent;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 bool DeltaFanInPass::Run(QueryPlan* plan) const {
   // Only the lock-free active flag is consulted at plan time; the executor
   // keys off the node's presence, not a re-read of the flag, so a
   // concurrent first-apply or compaction between planning and execution
-  // still serves a consistent state (fan-in over an empty delta is
+  // still serves a consistent state (the live arm over an empty delta is
   // base-only scoring, bit for bit).
   if (delta_ == nullptr || !delta_->active()) return false;
-  PlanNode* window = FindNode(&plan->root, PlanNodeKind::kWindow);
-  if (window == nullptr || window->children.size() != 1 ||
-      window->children[0].kind != PlanNodeKind::kScore) {
+  PlanNode* parent = ParentOfScore(&plan->root);
+  if (parent == nullptr || parent->kind == PlanNodeKind::kDeltaFanIn) {
     return false;
   }
-  PlanNode fanin;
-  fanin.kind = PlanNodeKind::kDeltaFanIn;
-  fanin.children.push_back(std::move(window->children[0]));
-  window->children[0] = std::move(fanin);
+  for (PlanNode& child : parent->children) {
+    if (child.kind != PlanNodeKind::kScore) continue;
+    PlanNode fanin;
+    fanin.kind = PlanNodeKind::kDeltaFanIn;
+    fanin.children.push_back(std::move(child));
+    child = std::move(fanin);
+    break;
+  }
   return true;
 }
 
@@ -146,11 +163,11 @@ PassManager PassManager::ServingPipeline(const PipelineOptions& options) {
   if (options.sharded) {
     pm.Add(std::make_unique<InsertShardFanoutPass>(options.num_shards));
   }
+  pm.Add(std::make_unique<PushWindowIntoTakeTopPass>());
+  pm.Add(std::make_unique<PruneBlockMaxPass>(options.blockmax));
   if (options.delta != nullptr) {
     pm.Add(std::make_unique<DeltaFanInPass>(options.delta));
   }
-  pm.Add(std::make_unique<PushWindowIntoTakeTopPass>());
-  pm.Add(std::make_unique<PruneBlockMaxPass>(options.blockmax));
   pm.Add(std::make_unique<CanonicalizeCacheKeyPass>());
   return pm;
 }

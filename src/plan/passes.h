@@ -84,26 +84,27 @@ class InsertShardFanoutPass : public Pass {
   int num_shards_;
 };
 
-/// Inserts a DeltaFanIn stage between a Window and its direct Score child
-/// when the serving index carries uncompacted mutations (the delta state's
-/// lock-free `active()` flag — the only thing the pass reads, so planning
-/// never takes the delta lock). The executor then scores the child over
-/// [frozen base + delta postings] with live statistics and tombstone
-/// masking instead of the frozen arenas alone. Runs after leaf pruning and
-/// before window pushdown, so pushdown and block-max marking naturally
-/// no-op on fan-in plans (the Window's child is no longer a Score) — the
-/// fan-in arm is the one scalar reference path while deltas are pending;
-/// compaction restores the compiled/pruned arms.
+/// Wraps the Score node in a DeltaFanIn stage when the serving index
+/// carries uncompacted mutations (the delta state's lock-free `active()`
+/// flag — the only thing the pass reads, so planning never takes the delta
+/// lock). The executor then scores the Score's leaves over [frozen base
+/// runs + delta runs] at live collection statistics through the same
+/// kernels, `TakeTop`ping the pushed-down window. Runs after window
+/// pushdown and block-max marking, so a delta plan differs from the frozen
+/// plan only by the stage: a `pruned` Score under it is what explain and
+/// `rank.prune.declined` report as pruning declined (the frozen block
+/// bounds do not cover delta runs or live weights, so the executor runs it
+/// exhaustively). Single-index pipelines only: shard fragments apply the
+/// delta themselves (`ExecuteFragment`).
 ///
-/// Safety: the fan-in scorer accumulates the same Eq. 1 expression shapes
-/// in the same leaf order as the legacy scorer over exactly the live
-/// document set (base postings first, delta postings second — a document
-/// appears at most once per group, so every per-document sum sees its
-/// contributions in group order either way), with inverse frequencies
-/// computed from live collection statistics. That makes its output
-/// bit-identical to a from-scratch rebuild of the live documents
-/// (DESIGN.md §16), which is the correctness bar every other arm is also
-/// held to.
+/// Safety: a document lives in exactly one segment (base ids below
+/// `base_docs`, delta ids at or above it), so each per-document sum sees
+/// its contributions in leaf order; the weights are the rebuild's
+/// `alpha · qw · irf · irf` over the live statistics, the per-posting
+/// products are the kernels' own, and tombstoned docs fail the
+/// eligibility filter. That makes the output bit-identical to a
+/// from-scratch rebuild of the live documents (DESIGN.md §16), which is
+/// the correctness bar every other arm is also held to.
 class DeltaFanInPass : public Pass {
  public:
   explicit DeltaFanInPass(const index::DeltaState* delta) : delta_(delta) {}
@@ -117,8 +118,7 @@ class DeltaFanInPass : public Pass {
 /// Pushes a Window whose direct child is a Score into the scorer's
 /// `TakeTop` (`score.pushed_window`), hoisting the Score in place of the
 /// Window. Naturally a no-op on fanout plans (the Window's child is a
-/// Merge there — the global window must apply after the gather) and on
-/// fan-in plans (the child is a DeltaFanIn).
+/// Merge there — the global window must apply after the gather).
 ///
 /// Safety: (score desc, doc asc) is a strict total order over distinct
 /// documents, so the top-k selection is exactly the first k elements of
@@ -194,7 +194,7 @@ struct PipelineOptions {
   /// Non-null when an `IndexWriter` is attached to the serving index:
   /// registers `DeltaFanInPass` over this delta state (which must outlive
   /// the pipeline). Null for sharded router pipelines — fragment execution
-  /// applies the fan-in per shard instead (see `ExecuteFragment`).
+  /// applies the delta per shard instead (see `ExecuteFragment`).
   const index::DeltaState* delta = nullptr;
 };
 
@@ -210,8 +210,8 @@ class PassManager {
 
   /// The standard serving pipeline, in dependency order: constant-α
   /// folding, zero-weight-leaf pruning, shard-fanout insertion (sharded
-  /// only), window pushdown, block-max prune marking, cache-key
-  /// canonicalization.
+  /// only), window pushdown, block-max prune marking, delta fan-in
+  /// (writer attached only), cache-key canonicalization.
   static PassManager ServingPipeline(const PipelineOptions& options);
 
   void Add(std::unique_ptr<Pass> pass);

@@ -41,10 +41,10 @@ enum class PlanNodeKind {
   /// the core layer (it owns the association tables); recorded in the plan
   /// so explain output shows the full pipeline.
   kAggregate,
-  /// Incremental fan-in: execute the child Score over [frozen base +
-  /// delta postings] with live collection statistics and tombstones
-  /// masking retired documents (DESIGN.md §16). Inserted between Window
-  /// and Score by `DeltaFanInPass` when the serving index has uncompacted
+  /// Incremental fan-in: execute the child Score over [frozen base runs +
+  /// delta runs] with live collection statistics, tombstoned documents
+  /// failing the eligibility filter (DESIGN.md §16). Wrapped around the
+  /// Score by `DeltaFanInPass` when the serving index has uncompacted
   /// mutations; carries no payload of its own, so plan text stays a pure
   /// function of the request and serving configuration.
   kDeltaFanIn,
@@ -181,6 +181,11 @@ struct PlanExplain {
   std::vector<PassTrace> passes;
   /// True when the compiled form was served from the plan cache.
   bool cache_hit = false;
+  /// True when retrieval scored over [frozen base + live delta] — the
+  /// DeltaFanIn stage ran (sharded: on at least one shard).
+  bool delta_read = false;
+  /// True when a pruned Score ran exhaustively because a delta was live.
+  bool prune_declined = false;
 };
 
 }  // namespace crowdex::plan

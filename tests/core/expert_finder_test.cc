@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "core/analyzed_world.h"
+#include "support/analysis_cache.h"
 #include "synth/world.h"
 
 namespace crowdex::core {
@@ -28,7 +29,7 @@ class ExpertFinderTest : public ::testing::Test {
       synth::WorldConfig cfg;
       cfg.scale = 0.02;
       fx->world = synth::GenerateWorld(cfg);
-      fx->analyzed = AnalyzeWorld(&fx->world);
+      fx->analyzed = test_support::AnalyzeWorldCached(&fx->world, cfg, 0);
       return fx;
     }();
     return *f;

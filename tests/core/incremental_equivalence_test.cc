@@ -23,6 +23,8 @@
 #include "core/index_writer.h"
 #include "core/shard_router.h"
 #include "index/delta.h"
+#include "obs/metrics.h"
+#include "support/analysis_cache.h"
 #include "synth/world.h"
 
 namespace crowdex::core {
@@ -74,7 +76,7 @@ class IncrementalEquivalenceTest : public ::testing::Test {
       synth::WorldConfig cfg;
       cfg.scale = 0.02;
       fx->world = synth::GenerateWorld(cfg);
-      fx->analyzed = AnalyzeWorld(&fx->world, {.thread_count = 1});
+      fx->analyzed = test_support::AnalyzeWorldCached(&fx->world, cfg);
       for (const auto& q : fx->world.queries) {
         index::AnalyzedQuery aq =
             fx->analyzed.extractor->AnalyzeQuery(q.text);
@@ -345,6 +347,144 @@ TEST_F(IncrementalEquivalenceTest, ShardedValidationIsRouterWide) {
     ExpectSameRanking(source.Rank(request).value(), got.value().ranked,
                       "after rejected batches, query " + std::to_string(q.id));
   }
+}
+
+TEST_F(IncrementalEquivalenceTest, ShardedEdgeCasesMatchRebuild) {
+  // The delta's edge cases, routed through `ShardRouter::ApplyUpdates` so
+  // every shard scores under the coordinator's installed global
+  // statistics: a term and an entity that exist only in the delta, a
+  // tombstoned base doc that matches the query, delta entity postings with
+  // dscore 0, and a delta doc replaced twice.
+  ExpertFinder probe = MakeOwning();
+  IndexWriter probe_writer = IndexWriter::Attach(&probe).value();
+  index::IndexableDocument victim;
+  for (index::IndexableDocument& doc :
+       probe_writer.delta().ReconstructLiveDocs()) {
+    if (!doc.terms.empty()) {
+      victim = std::move(doc);
+      break;
+    }
+  }
+  ASSERT_FALSE(victim.terms.empty());
+  ASSERT_FALSE(F().vocab_entities.empty());
+  const std::string fresh_term = "zzdeltaonly";
+  const entity::EntityId fresh_entity = 3'999'999;
+  const entity::EntityId known_entity = F().vocab_entities[0];
+
+  auto upsert = [](uint64_t ext, std::vector<std::string> terms,
+                   std::vector<index::DocEntity> entities, int candidate) {
+    UpsertDoc up;
+    up.doc.external_id = ext;
+    up.doc.terms = std::move(terms);
+    up.doc.entities = std::move(entities);
+    up.associations.push_back({candidate, candidate % 3});
+    return up;
+  };
+  std::vector<UpdateBatch> batches(3);
+  batches[0].deletions = {victim.external_id};
+  batches[0].upserts = {
+      upsert(8'000'001, {fresh_term, victim.terms[0]},
+             {{fresh_entity, 2, 0.5}, {known_entity, 1, 0.0}}, 0),
+      upsert(8'000'002, {F().vocab_terms[0], fresh_term}, {}, 1)};
+  batches[1].upserts = {upsert(8'000'002, {victim.terms[0]},
+                               {{fresh_entity, 1, 0.0}}, 2)};
+  batches[2].upserts = {
+      upsert(8'000'002, {fresh_term, fresh_term}, {{known_entity, 3, 0.25}},
+             3)};
+
+  index::AnalyzedQuery query;
+  query.terms = {victim.terms[0], fresh_term, F().vocab_terms[0]};
+  query.entities = {fresh_entity, known_entity};
+
+  ExpertFinder reference = MakeOwning();
+  {
+    IndexWriter writer = IndexWriter::Attach(&reference).value();
+    for (const UpdateBatch& b : batches) ASSERT_TRUE(writer.Apply(b).ok());
+    ASSERT_TRUE(writer.Compact().ok());
+  }
+  ExpertFinder single = MakeOwning();
+  IndexWriter single_writer = IndexWriter::Attach(&single).value();
+  for (const UpdateBatch& b : batches) {
+    ASSERT_TRUE(single_writer.Apply(b).ok());
+  }
+  for (int shards : {1, 2, 3}) {
+    ExpertFinder source = MakeOwning();
+    Result<ShardRouter> router =
+        ShardRouter::Partition(source, shards, ShardRouterConfig{});
+    ASSERT_TRUE(router.ok()) << router.status();
+    for (const UpdateBatch& b : batches) {
+      ASSERT_TRUE(router.value().ApplyUpdates(b).ok());
+    }
+    for (double alpha : kAlphas) {
+      for (const WindowVariant& w : kWindows) {
+        RankRequest request;
+        request.analyzed = &query;
+        request.alpha = alpha;
+        request.window_size = w.size;
+        request.window_fraction = w.fraction;
+        request.explain = true;
+        const std::string context =
+            "shards=" + std::to_string(shards) + " alpha=" +
+            std::to_string(alpha) + " window=" + std::to_string(w.size) +
+            "/" + std::to_string(w.fraction);
+        const RankedExperts want = reference.Rank(request).value();
+        ASSERT_GT(want.matched_resources, 0u) << context;
+        Result<ShardedRankResult> got = router.value().Rank(request);
+        ASSERT_TRUE(got.ok()) << got.status();
+        EXPECT_TRUE(got.value().complete) << context;
+        ExpectSameRanking(want, got.value().ranked, context);
+        ASSERT_NE(got.value().ranked.explain, nullptr);
+        EXPECT_TRUE(got.value().ranked.explain->delta_read) << context;
+        ExpectSameRanking(want, single.Rank(request).value(),
+                          "single-index " + context);
+      }
+    }
+  }
+}
+
+TEST_F(IncrementalEquivalenceTest, DeltaReadsAreCountedAndExplained) {
+  // Every rank over a live delta shows in `rank.delta.*` and explain; a
+  // pruned plan the delta made exhaustive shows as `rank.prune.declined`;
+  // after compaction reads are frozen again.
+  obs::MetricsRegistry reg;
+  ExpertFinderConfig cfg;
+  cfg.blockmax_pruning = true;
+  ExpertFinder finder =
+      ExpertFinder::Create(&F().analyzed, cfg, nullptr,
+                           RuntimeContext{nullptr, &reg})
+          .value();
+  IndexWriter writer = IndexWriter::Attach(&finder).value();
+  index::AnalyzedQuery query;
+  query.terms = F().vocab_terms;
+  query.entities = F().vocab_entities;
+  RankRequest request;
+  request.analyzed = &query;
+  request.explain = true;
+
+  const RankedExperts frozen = finder.Rank(request).value();
+  EXPECT_FALSE(frozen.explain->delta_read);
+  EXPECT_FALSE(frozen.explain->prune_declined);
+  EXPECT_EQ(reg.counter("rank.delta.reads")->Value(), 0u);
+
+  ASSERT_TRUE(writer.Apply(F().script[0]).ok());
+  const uint64_t runs_before = reg.counter("rank.kernel.runs")->Value();
+  const RankedExperts live = finder.Rank(request).value();
+  EXPECT_TRUE(live.explain->delta_read);
+  EXPECT_TRUE(live.explain->prune_declined);
+  EXPECT_NE(live.explain->plan_text.find("delta_fan_in"), std::string::npos)
+      << live.explain->plan_text;
+  EXPECT_EQ(reg.counter("rank.delta.reads")->Value(), 1u);
+  EXPECT_GT(reg.counter("rank.delta.postings")->Value(), 0u);
+  EXPECT_EQ(reg.counter("rank.prune.declined")->Value(), 1u);
+  EXPECT_GT(reg.counter("rank.kernel.runs")->Value(), runs_before);
+
+  ASSERT_TRUE(writer.Compact().ok());
+  const RankedExperts compacted = finder.Rank(request).value();
+  EXPECT_FALSE(compacted.explain->delta_read);
+  EXPECT_EQ(compacted.explain->plan_text.find("delta_fan_in"),
+            std::string::npos);
+  EXPECT_EQ(reg.counter("rank.delta.reads")->Value(), 1u);
+  EXPECT_EQ(reg.counter("rank.prune.declined")->Value(), 1u);
 }
 
 TEST_F(IncrementalEquivalenceTest, ConcurrentReadersSeeConsistentBatches) {

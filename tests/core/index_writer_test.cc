@@ -20,6 +20,7 @@
 #include "core/serving.h"
 #include "index/search_index.h"
 #include "obs/metrics.h"
+#include "support/analysis_cache.h"
 #include "synth/world.h"
 
 namespace crowdex::core {
@@ -53,7 +54,7 @@ class IndexWriterTest : public ::testing::Test {
       synth::WorldConfig cfg;
       cfg.scale = 0.02;
       fx->world = synth::GenerateWorld(cfg);
-      fx->analyzed = AnalyzeWorld(&fx->world, {.thread_count = 1});
+      fx->analyzed = test_support::AnalyzeWorldCached(&fx->world, cfg);
       fx->shared_index = std::make_unique<CorpusIndex>(
           &fx->analyzed, platform::kAllPlatformsMask);
       return fx;

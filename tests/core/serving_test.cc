@@ -20,6 +20,7 @@
 #include "core/expert_finder.h"
 #include "core/serving.h"
 #include "obs/metrics.h"
+#include "support/analysis_cache.h"
 #include "synth/world.h"
 
 namespace crowdex::core {
@@ -71,7 +72,7 @@ class ServingTest : public ::testing::Test {
       synth::WorldConfig cfg;
       cfg.scale = 0.02;
       fx->world = synth::GenerateWorld(cfg);
-      fx->analyzed = AnalyzeWorld(&fx->world, {.thread_count = 1});
+      fx->analyzed = test_support::AnalyzeWorldCached(&fx->world, cfg);
       fx->index = std::make_unique<CorpusIndex>(&fx->analyzed,
                                                 platform::kAllPlatformsMask);
       return fx;

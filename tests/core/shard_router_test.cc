@@ -21,6 +21,7 @@
 #include "core/shard_router.h"
 #include "obs/metrics.h"
 #include "plan/plan.h"
+#include "support/analysis_cache.h"
 #include "synth/world.h"
 
 namespace crowdex::core {
@@ -72,7 +73,7 @@ class ShardRouterTest : public ::testing::Test {
       synth::WorldConfig cfg;
       cfg.scale = 0.02;
       fx->world = synth::GenerateWorld(cfg);
-      fx->analyzed = AnalyzeWorld(&fx->world, {.thread_count = 1});
+      fx->analyzed = test_support::AnalyzeWorldCached(&fx->world, cfg);
       fx->index = std::make_unique<CorpusIndex>(&fx->analyzed,
                                                 platform::kAllPlatformsMask);
       return fx;

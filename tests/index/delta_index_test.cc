@@ -1,7 +1,9 @@
-// Unit tests of the delta layer (DESIGN.md §16): append-only postings over
-// a frozen base, tombstones, live statistics drift, canonical live-doc
-// reconstruction — and the core equivalence claim that the fan-in scorer
-// is bit-identical to a from-scratch rebuild over the live documents.
+// Unit tests of the delta layer (DESIGN.md §16): append-only posting runs
+// over a frozen base, tombstones, live statistics drift, canonical live-doc
+// reconstruction — and the core equivalence claim that the kernel pass over
+// [base runs + delta runs] (`DeltaState::Accumulate`) is bit-identical to a
+// from-scratch rebuild over the live documents, counts included. The
+// kernels/<tier>/ ctest entries re-run this binary under every SIMD tier.
 
 #include "index/delta.h"
 
@@ -11,7 +13,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -56,26 +57,59 @@ std::vector<QueryEntityGroup> EntityGroups(
   return out;
 }
 
-/// Fan-in over [base + delta] must equal SearchGroups on a from-scratch
-/// rebuild of the live documents: same external ids in the same order,
-/// same score bits.
-void ExpectMatchesRebuild(const DeltaState& delta,
-                          const std::vector<QueryTermGroup>& terms,
-                          const std::vector<QueryEntityGroup>& entities,
-                          double alpha, const std::string& context) {
+/// One kernel pass over [base + delta]: every collected doc, best first.
+struct LiveRanking {
+  RetrievalStats stats;
+  std::vector<ScoredDoc> docs;
+};
+
+LiveRanking RankLive(const DeltaState& delta,
+                     const std::vector<QueryTermGroup>& terms,
+                     const std::vector<QueryEntityGroup>& entities,
+                     double alpha, const uint8_t* eligible = nullptr) {
+  ScoreAccumulator acc;
+  LiveRanking out;
+  out.stats = delta.Accumulate(terms, entities, alpha, eligible, &acc);
+  acc.TakeTop(out.stats.eligible, &out.docs);
+  return out;
+}
+
+SearchIndex Rebuild(const DeltaState& delta) {
   SearchIndex rebuilt;
   for (const IndexableDocument& doc : delta.ReconstructLiveDocs()) {
     rebuilt.Add(doc);
   }
   rebuilt.Freeze();
-  std::vector<ScoredDoc> want = rebuilt.SearchGroups(terms, entities, alpha);
-  std::vector<ScoredDoc> got =
-      SearchGroupsWithDelta(terms, entities, alpha, delta);
-  ASSERT_EQ(want.size(), got.size()) << context;
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(want[i].external_id, got[i].external_id)
-        << context << " rank " << i;
-    EXPECT_EQ(want[i].score, got[i].score) << context << " rank " << i;
+  return rebuilt;
+}
+
+/// The kernel pass over [base + delta] must equal SearchGroups on a
+/// from-scratch rebuild of the live documents: same external ids in the
+/// same order, same score bits, and a `matched` count that excludes
+/// tombstoned docs. Checked with the delta's own live mask (null filter)
+/// and with a caller mask that is 0 exactly on the tombstones — the shape
+/// the finder's reachability bytes take.
+void ExpectMatchesRebuild(const DeltaState& delta,
+                          const std::vector<QueryTermGroup>& terms,
+                          const std::vector<QueryEntityGroup>& entities,
+                          double alpha, const std::string& context) {
+  const std::vector<ScoredDoc> want =
+      Rebuild(delta).SearchGroups(terms, entities, alpha);
+  std::vector<uint8_t> live(delta.total_docs());
+  for (DocId d = 0; d < live.size(); ++d) live[d] = !delta.IsTombstoned(d);
+  for (const uint8_t* eligible : {static_cast<const uint8_t*>(nullptr),
+                                  static_cast<const uint8_t*>(live.data())}) {
+    const std::string where =
+        context + (eligible == nullptr ? " (live mask)" : " (caller mask)");
+    const LiveRanking got = RankLive(delta, terms, entities, alpha, eligible);
+    EXPECT_EQ(got.stats.matched, want.size()) << where;
+    EXPECT_EQ(got.stats.eligible, want.size()) << where;
+    ASSERT_EQ(want.size(), got.docs.size()) << where;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(want[i].external_id, got.docs[i].external_id)
+          << where << " rank " << i;
+      EXPECT_EQ(want[i].score, got.docs[i].score) << where << " rank " << i;
+    }
   }
 }
 
@@ -102,7 +136,7 @@ TEST(DeltaStateTest, FreshDeltaIsInactiveAndMirrorsBase) {
 TEST(DeltaStateTest, UpsertAppendsWithTheNextDeltaId) {
   SearchIndex base = BaseIndex();
   DeltaState delta(&base);
-  std::unique_lock<std::shared_mutex> lock(delta.mu);
+  std::unique_lock lock(delta.mu);
   ASSERT_TRUE(delta.Upsert(Doc(500, {"swim", "dive"}, {{7, 1, 0.5}})).ok());
   EXPECT_TRUE(delta.active());
   EXPECT_EQ(delta.delta_docs(), 1u);
@@ -113,15 +147,24 @@ TEST(DeltaStateTest, UpsertAppendsWithTheNextDeltaId) {
   EXPECT_EQ(delta.LiveTermRf("swim"), 3u);  // 2 base + 1 delta
   EXPECT_EQ(delta.LiveTermRf("dive"), 1u);  // new term
   EXPECT_EQ(delta.LiveEntityRf(7), 3u);
-  ASSERT_EQ(delta.TermPostings("swim").size(), 1u);
-  EXPECT_EQ(delta.TermPostings("swim")[0].doc, 4u);
-  EXPECT_EQ(delta.TermPostings("swim")[0].tf, 1u);
+  const DeltaTermRun* swim = delta.TermRun("swim");
+  ASSERT_NE(swim, nullptr);
+  ASSERT_EQ(swim->docs.size(), 1u);
+  EXPECT_EQ(swim->docs[0], 4u);
+  EXPECT_EQ(swim->tf[0], 1u);
+  EXPECT_EQ(delta.TermRun("pool"), nullptr);
+  // The entity run stores the Eq. 2 weight, not the raw confidence.
+  const DeltaEntityRun* seven = delta.EntityRun(7);
+  ASSERT_NE(seven, nullptr);
+  EXPECT_EQ(seven->docs[0], 4u);
+  EXPECT_EQ(seven->ef[0], 1u);
+  EXPECT_EQ(seven->we[0], 1.0 + 0.5);
 }
 
 TEST(DeltaStateTest, RemoveTombstonesAndDecrementsLiveStats) {
   SearchIndex base = BaseIndex();
   DeltaState delta(&base);
-  std::unique_lock<std::shared_mutex> lock(delta.mu);
+  std::unique_lock lock(delta.mu);
   ASSERT_TRUE(delta.Remove(100).ok());
   EXPECT_TRUE(delta.active());
   EXPECT_TRUE(delta.IsTombstoned(0));
@@ -143,7 +186,7 @@ TEST(DeltaStateTest, RemoveCountsPrunedEntityPostings) {
   // drops when the doc is removed.
   SearchIndex base = BaseIndex();
   DeltaState delta(&base);
-  std::unique_lock<std::shared_mutex> lock(delta.mu);
+  std::unique_lock lock(delta.mu);
   EXPECT_EQ(delta.LiveEntityRf(9), base.EntityResourceFrequency(9));
   ASSERT_TRUE(delta.Remove(200).ok());
   EXPECT_EQ(delta.LiveEntityRf(9), base.EntityResourceFrequency(9) - 1);
@@ -152,7 +195,7 @@ TEST(DeltaStateTest, RemoveCountsPrunedEntityPostings) {
 TEST(DeltaStateTest, UpsertOfLiveIdReplaces) {
   SearchIndex base = BaseIndex();
   DeltaState delta(&base);
-  std::unique_lock<std::shared_mutex> lock(delta.mu);
+  std::unique_lock lock(delta.mu);
   ASSERT_TRUE(delta.Upsert(Doc(100, {"dive"})).ok());
   // Old base version tombstoned, new version appended.
   EXPECT_TRUE(delta.IsTombstoned(0));
@@ -172,7 +215,7 @@ TEST(DeltaStateTest, UpsertOfLiveIdReplaces) {
 TEST(DeltaStateTest, ReconstructLiveDocsIsCanonicalRebuildOrder) {
   SearchIndex base = BaseIndex();
   DeltaState delta(&base);
-  std::unique_lock<std::shared_mutex> lock(delta.mu);
+  std::unique_lock lock(delta.mu);
   ASSERT_TRUE(delta.Remove(200).ok());
   ASSERT_TRUE(delta.Upsert(Doc(500, {"dive"})).ok());
   ASSERT_TRUE(delta.Upsert(Doc(100, {"sprint"})).ok());
@@ -208,7 +251,7 @@ TEST(DeltaStateTest, ReconstructRoundTripsBaseDocContent) {
 TEST(DeltaStateTest, FanInMatchesRebuildThroughMutationSequence) {
   SearchIndex base = BaseIndex();
   DeltaState delta(&base);
-  std::unique_lock<std::shared_mutex> lock(delta.mu);
+  std::unique_lock lock(delta.mu);
   const auto terms = TermGroups({{"swim", 1}, {"race", 2}, {"dive", 1}});
   const auto entities = EntityGroups({{7, 1}, {9, 1}});
   struct Step {
@@ -243,7 +286,7 @@ TEST(DeltaStateTest, ResetForNewBaseClearsEverything) {
   SearchIndex base = BaseIndex();
   DeltaState delta(&base);
   {
-    std::unique_lock<std::shared_mutex> lock(delta.mu);
+    std::unique_lock lock(delta.mu);
     CheckOk(delta.Remove(100), "rm");
     CheckOk(delta.Upsert(Doc(500, {"dive"})), "up");
   }
@@ -253,7 +296,7 @@ TEST(DeltaStateTest, ResetForNewBaseClearsEverything) {
   }
   compacted.Freeze();
   {
-    std::unique_lock<std::shared_mutex> lock(delta.mu);
+    std::unique_lock lock(delta.mu);
     delta.ResetForNewBase(&compacted);
   }
   EXPECT_FALSE(delta.active());
@@ -277,7 +320,7 @@ TEST(DeltaStateTest, InstalledStatsOverrideLocalFallbacks) {
   (*base_rf)["pool"] = 11;
   stats->term_base_rf = base_rf;
   {
-    std::unique_lock<std::shared_mutex> lock(delta.mu);
+    std::unique_lock lock(delta.mu);
     delta.InstallStats(stats);
   }
   // Installing stats activates fan-in even with no local mutations (a
@@ -290,6 +333,99 @@ TEST(DeltaStateTest, InstalledStatsOverrideLocalFallbacks) {
   EXPECT_EQ(delta.LiveEntityRf(7), 9u);      // touched map
   // Entity fallback is the local frozen table (global on shards already).
   EXPECT_EQ(delta.LiveEntityRf(9), base.EntityResourceFrequency(9));
+}
+
+TEST(DeltaStateTest, DeltaOnlyTermAndEntityScoreAtTheirLeafPosition) {
+  // "dive" and entity 11 exist only in the delta — a base-only compile
+  // would drop them — yet they must score, in their own place in the
+  // group order (between base groups), exactly as in the rebuild.
+  SearchIndex base = BaseIndex();
+  DeltaState delta(&base);
+  std::unique_lock lock(delta.mu);
+  ASSERT_TRUE(
+      delta.Upsert(Doc(500, {"dive", "swim"}, {{11, 2, 0.7}, {7, 1, 0.2}}))
+          .ok());
+  ASSERT_TRUE(delta.Upsert(Doc(600, {"dive", "dive", "race"})).ok());
+  const auto terms = TermGroups({{"swim", 1}, {"dive", 2}, {"race", 1}});
+  const auto entities = EntityGroups({{11, 1}, {7, 3}});
+  for (double alpha : {0.0, 0.4, 1.0}) {
+    ExpectMatchesRebuild(delta, terms, entities, alpha,
+                         "alpha=" + std::to_string(alpha));
+  }
+  // Work accounting: at alpha 0.4 every group runs its base segment (when
+  // the base has one) and its delta run (when there is one).
+  const LiveRanking got = RankLive(delta, terms, entities, 0.4);
+  // swim: base + delta; dive: delta; race: base + delta; 11: delta;
+  // 7: base + delta.
+  EXPECT_EQ(got.stats.kernel_runs, 8u);
+  // swim 1 + dive 2 + race 1 + entity 11 one + entity 7 one.
+  EXPECT_EQ(got.stats.delta_postings, 6u);
+}
+
+TEST(DeltaStateTest, TombstonedBaseMatchIsNotCounted) {
+  // Docs 100 and 400 both match "swim"; retiring 100 leaves its base
+  // posting in the arena run the kernel scores, so the pass sees a
+  // positive score on a tombstoned doc. Neither `eligible` nor `matched`
+  // may count it — the rebuild does not hold the doc at all.
+  SearchIndex base = BaseIndex();
+  DeltaState delta(&base);
+  std::unique_lock lock(delta.mu);
+  ASSERT_TRUE(delta.Remove(100).ok());
+  const auto terms = TermGroups({{"swim", 1}, {"pool", 1}});
+  ExpectMatchesRebuild(delta, terms, {}, 1.0, "after base removal");
+  const LiveRanking got = RankLive(delta, terms, {}, 1.0);
+  EXPECT_EQ(got.stats.matched, 2u);  // 200 (pool) and 400 (swim)
+  ASSERT_EQ(got.docs.size(), 2u);
+  for (const ScoredDoc& d : got.docs) EXPECT_NE(d.external_id, 100u);
+}
+
+TEST(DeltaStateTest, ZeroConfidenceDeltaEntityScoresNothing) {
+  // A delta entity posting with dscore 0 has Eq. 2 weight 0: the run keeps
+  // it (contributing +0.0) where `Freeze` prunes it, and neither side may
+  // count the doc as matched through it.
+  SearchIndex base = BaseIndex();
+  DeltaState delta(&base);
+  std::unique_lock lock(delta.mu);
+  ASSERT_TRUE(delta.Upsert(Doc(500, {"gym"}, {{9, 2, 0.0}})).ok());
+  ASSERT_TRUE(delta.Upsert(Doc(600, {"swim"}, {{9, 1, 0.0}, {7, 1, 0.3}}))
+                  .ok());
+  const DeltaEntityRun* nine = delta.EntityRun(9);
+  ASSERT_NE(nine, nullptr);
+  EXPECT_EQ(nine->we[0], 0.0);
+  const auto entities = EntityGroups({{9, 1}, {7, 1}});
+  const auto terms = TermGroups({{"gym", 1}});
+  for (double alpha : {0.0, 0.5}) {
+    ExpectMatchesRebuild(delta, terms, entities, alpha,
+                         "alpha=" + std::to_string(alpha));
+  }
+  // Entity-only: doc 500 is touched (weight 0) but never matched.
+  const LiveRanking got = RankLive(delta, {}, EntityGroups({{9, 1}}), 0.0);
+  for (const ScoredDoc& d : got.docs) {
+    EXPECT_NE(d.external_id, 500u);
+    EXPECT_NE(d.external_id, 600u);
+  }
+}
+
+TEST(DeltaStateTest, DeltaDocReplacedTwiceLeavesOneLiveVersion) {
+  SearchIndex base = BaseIndex();
+  DeltaState delta(&base);
+  std::unique_lock lock(delta.mu);
+  ASSERT_TRUE(delta.Upsert(Doc(500, {"swim", "race"}, {{7, 1, 0.9}})).ok());
+  ASSERT_TRUE(delta.Upsert(Doc(500, {"swim", "swim"})).ok());
+  ASSERT_TRUE(delta.Upsert(Doc(500, {"race"}, {{7, 3, 0.1}})).ok());
+  // Two retired delta versions (ids 4 and 5), one live (id 6); both dead
+  // versions still sit in the "swim" / "race" delta runs.
+  EXPECT_TRUE(delta.IsTombstoned(4));
+  EXPECT_TRUE(delta.IsTombstoned(5));
+  EXPECT_EQ(delta.LiveDocId(500), 6);
+  EXPECT_EQ(delta.tombstone_count(), 2u);
+  EXPECT_EQ(delta.external_id(6), 500u);
+  const auto terms = TermGroups({{"race", 1}, {"swim", 1}});
+  const auto entities = EntityGroups({{7, 1}});
+  for (double alpha : {0.0, 0.6, 1.0}) {
+    ExpectMatchesRebuild(delta, terms, entities, alpha,
+                         "alpha=" + std::to_string(alpha));
+  }
 }
 
 }  // namespace

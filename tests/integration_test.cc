@@ -7,6 +7,7 @@
 #include "core/analyzed_world.h"
 #include "core/expert_finder.h"
 #include "eval/experiment.h"
+#include "support/analysis_cache.h"
 #include "synth/world.h"
 
 namespace crowdex {
@@ -26,7 +27,7 @@ class IntegrationTest : public ::testing::Test {
       synth::WorldConfig cfg;
       cfg.scale = 0.1;
       fx->world = synth::GenerateWorld(cfg);
-      fx->analyzed = core::AnalyzeWorld(&fx->world);
+      fx->analyzed = test_support::AnalyzeWorldCached(&fx->world, cfg, 0);
       fx->all_index = std::make_unique<core::CorpusIndex>(
           &fx->analyzed, platform::kAllPlatformsMask);
       return fx;
